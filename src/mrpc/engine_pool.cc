@@ -344,11 +344,20 @@ int EnginePool::Submit(rpc::Message message) {
     // oversubscribed host it donates the timeslice to the worker).
     std::this_thread::yield();
   }
-  if (worker.sleeping.load(std::memory_order_seq_cst)) {
-    std::lock_guard<std::mutex> lock(worker.mu);
-    worker.cv.notify_one();
-  }
+  // StoreLoad barrier: TryPush published tail_ with a release store, which
+  // may otherwise be reordered after the sleeping load below. Pairs with
+  // the fence between the worker's sleeping store and its ring.empty()
+  // check in WorkerLoop: either the worker sees this message or this
+  // thread sees the worker parked, never neither.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (worker.sleeping.load(std::memory_order_seq_cst)) Wake(worker);
   return w;
+}
+
+void EnginePool::Wake(Worker& w) {
+  std::lock_guard<std::mutex> lock(w.mu);
+  ++w.wakes;
+  w.cv.notify_one();
 }
 
 void EnginePool::Drain() {
@@ -365,10 +374,7 @@ void EnginePool::Stop() {
   if (!started_ || stopped_) return;
   Drain();
   stop_.store(true, std::memory_order_seq_cst);
-  for (auto& worker : workers_) {
-    std::lock_guard<std::mutex> lock(worker->mu);
-    worker->cv.notify_one();
-  }
+  for (auto& worker : workers_) Wake(*worker);
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
     worker->group_runner.reset();  // joins helper threads
@@ -378,8 +384,9 @@ void EnginePool::Stop() {
 
 void EnginePool::WorkerLoop(int index) {
   Worker& w = *workers_[static_cast<size_t>(index)];
-  // Register + label this worker's event ring up front so tools can show
-  // per-worker ring depth even before the first emit.
+  // Register + label this worker's event ring up front so tools list the
+  // worker before its first emit. Registration allocates no slots; they
+  // are allocated only if this worker emits (obs on).
   obs::EventRingRegistry::Default().SetThisThreadLabel(w.trace_processor);
   const int64_t cpu_start = ThreadCpuNs();
   int64_t exec_acc = 0;
@@ -447,14 +454,26 @@ void EnginePool::WorkerLoop(int index) {
       continue;
     }
     // Park so idle workers burn no CPU (keeps worker_cpu_ns ≈ busy time).
-    // seq_cst on the sleeping flag pairs with the producer's seq_cst load
-    // after its push (and after a control post); the timed wait is a
+    // The seq_cst store + fence pair with the fence after Submit's push and
+    // with PostControl's seq_cst ctrl_pending store; the timed wait is a
     // belt-and-braces fallback.
     std::unique_lock<std::mutex> lock(w.mu);
     w.sleeping.store(true, std::memory_order_seq_cst);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     if (w.ring.empty() && !stop_.load(std::memory_order_acquire) &&
         !w.ctrl_pending.load(std::memory_order_seq_cst)) {
-      w.cv.wait_for(lock, std::chrono::milliseconds(1));
+      const uint64_t wakes = w.wakes;
+      const bool timed_out =
+          w.cv.wait_for(lock, std::chrono::milliseconds(1)) ==
+          std::cv_status::timeout;
+      // Timed out with work queued: either a producer that saw this park
+      // is blocked on mu to wake it (late, harmless) or none saw it (lost).
+      // A short grace for that notify tells the two apart.
+      if (timed_out && !w.ring.empty() &&
+          !w.cv.wait_for(lock, std::chrono::milliseconds(10),
+                         [&] { return w.wakes != wakes; })) {
+        w.lost_wakeups.fetch_add(1, std::memory_order_relaxed);
+      }
     }
     w.sleeping.store(false, std::memory_order_relaxed);
     spins = 0;
@@ -480,10 +499,7 @@ void EnginePool::PostControl(int worker, std::function<void()> fn) {
     w.ctrl_ops.push_back(std::move(op));
   }
   w.ctrl_pending.store(true, std::memory_order_seq_cst);
-  if (w.sleeping.load(std::memory_order_seq_cst)) {
-    std::lock_guard<std::mutex> lock(w.mu);
-    w.cv.notify_one();
-  }
+  if (w.sleeping.load(std::memory_order_seq_cst)) Wake(w);
 }
 
 size_t EnginePool::RunPendingControl(Worker& w, size_t burst_max) {
@@ -652,6 +668,11 @@ int64_t EnginePool::worker_cpu_ns(int worker) const {
 int64_t EnginePool::worker_exec_ns(int worker) const {
   return workers_[static_cast<size_t>(worker)]->exec_ns.load(
       std::memory_order_acquire);
+}
+
+uint64_t EnginePool::lost_wakeups(int worker) const {
+  return workers_[static_cast<size_t>(worker)]->lost_wakeups.load(
+      std::memory_order_relaxed);
 }
 
 ir::ElementInstance& EnginePool::WorkerInstance(int worker, size_t element) {

@@ -240,6 +240,11 @@ class EnginePool {
   // messages once Drain() returns). The pool-side analogue of
   // bench_breakdown's compiled_ns_per_msg — excludes ring transport.
   int64_t worker_exec_ns(int worker) const;
+  // Parks of worker `w` that timed out with a message already queued and no
+  // wake-up ever sent for it: lost wake-ups, which Submit's StoreLoad fence
+  // rules out. Each held its message for the 1 ms park timeout plus a
+  // 10 ms grace.
+  uint64_t lost_wakeups(int worker) const;
 
   // Worker w's live instance of element e (tests; the worker thread owns it
   // while running — read after Drain/Stop).
@@ -301,6 +306,8 @@ class EnginePool {
     std::atomic<bool> sleeping{false};
     std::mutex mu;
     std::condition_variable cv;
+    uint64_t wakes = 0;  // notifies sent to this worker, guarded by mu
+    std::atomic<uint64_t> lost_wakeups{0};
 
     // Control mailbox (reconfiguration only; never on the message path).
     // ctrl_pending is the hot-path gate: one relaxed load per burst when no
@@ -341,6 +348,8 @@ class EnginePool {
   };
 
   void WorkerLoop(int index);
+  // Notify a (possibly) parked worker and count the wake-up.
+  static void Wake(Worker& w);
   // Post `fn` to run on worker `worker`'s thread once it has drained every
   // message submitted before this call. Wakes the worker if parked.
   void PostControl(int worker, std::function<void()> fn);
@@ -348,8 +357,9 @@ class EnginePool {
   // messages the next burst may pop without crossing the next op's barrier.
   size_t RunPendingControl(Worker& w, size_t burst_max);
   // Process msgs[0..n) on worker w, filling results[0..n). Takes the burst
-  // executor when the whole chain is compiled and observability is off;
-  // otherwise the per-message path (which owns trace scopes / counters).
+  // executor when the whole chain is compiled (with obs on, only if it is
+  // burst-vectorizable); otherwise the per-message path (which owns trace
+  // scopes / counters).
   void ProcessBatch(Worker& w, rpc::Message* msgs, size_t n, int64_t now_ns,
                     ir::ProcessResult* results);
   ir::ProcessResult ProcessMessage(Worker& w, rpc::Message& m, int64_t now_ns);

@@ -27,7 +27,6 @@ const std::vector<std::string_view>& ReconfigEventNames() {
 EventRing::EventRing(size_t capacity) {
   size_t cap = 2;
   while (cap < capacity) cap <<= 1;
-  slots_.resize(cap);
   mask_ = cap - 1;
 }
 
@@ -38,6 +37,11 @@ size_t EventRing::size() const {
 }
 
 bool EventRing::TryEmit(const TraceEvent& e) {
+  if (slots_ == nullptr) [[unlikely]] {
+    // First emit on the owning thread. The consumer reads slots_ only after
+    // an acquire of a tail_ published below, so no further sync is needed.
+    slots_ = std::make_unique<TraceEvent[]>(capacity());
+  }
   const uint64_t tail = tail_.load(std::memory_order_relaxed);
   if (tail - head_.load(std::memory_order_acquire) == capacity()) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -65,10 +69,14 @@ size_t EventRing::Drain(TraceEvent* out, size_t max) {
 namespace {
 
 // The calling thread's cached ring + the registry generation it was created
-// under; a Reset() bumps the generation so the thread re-registers.
+// under; a Reset() bumps the generation so the thread re-registers. Thread
+// exit orphans the ring so the registry can release it once drained.
 struct TlsRing {
   std::shared_ptr<EventRing> ring;
   uint64_t generation = ~0ull;
+  ~TlsRing() {
+    if (ring != nullptr) ring->MarkOrphaned();
+  }
 };
 thread_local TlsRing tls_ring;
 
@@ -90,6 +98,10 @@ EventRing& EventRingRegistry::ThisThreadRing() {
     return *tls_ring.ring;
   }
   std::lock_guard<std::mutex> lock(mu_);
+  // Threads that registered and exited without emitting leave orphans with
+  // nothing to drain; sweep them here so registration alone (obs off) never
+  // accumulates rings.
+  ReleaseSpentLocked();
   tls_ring.ring = std::make_shared<EventRing>(default_capacity_);
   tls_ring.generation = generation_;
   rings_.push_back(tls_ring.ring);
@@ -133,6 +145,7 @@ size_t EventRingRegistry::DrainAll(std::vector<TraceEvent>& out) {
       ring->synced_dropped_ = drops;
     }
   }
+  ReleaseSpentLocked();
   return drained;
 }
 
@@ -145,6 +158,7 @@ std::vector<EventRingRegistry::RingStats> EventRingRegistry::Stats() const {
     s.label = NameOfId(ring->label_id());
     s.depth = ring->size();
     s.capacity = ring->capacity();
+    s.backing_bytes = ring->backing_bytes();
     s.emitted = ring->emitted();
     s.dropped = ring->dropped();
     out.push_back(s);
@@ -154,7 +168,7 @@ std::vector<EventRingRegistry::RingStats> EventRingRegistry::Stats() const {
 
 uint64_t EventRingRegistry::TotalDropped() const {
   std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
+  uint64_t total = released_dropped_;
   for (const std::shared_ptr<EventRing>& ring : rings_) {
     total += ring->dropped();
   }
@@ -163,14 +177,27 @@ uint64_t EventRingRegistry::TotalDropped() const {
 
 void EventRingRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  // Park rather than destroy: a producer thread mid-emit still holds a
-  // reference (same contract as MetricsRegistry::Reset).
-  for (std::shared_ptr<EventRing>& ring : rings_) {
-    retired_.push_back(std::move(ring));
-  }
+  // Only the registry's references go: a producer thread mid-emit still
+  // owns its ring through tls_ring, which frees it on re-registration or
+  // thread exit.
   rings_.clear();
+  released_dropped_ = 0;
   ++generation_;
   GenerationFlag().store(generation_, std::memory_order_release);
+}
+
+void EventRingRegistry::ReleaseSpentLocked() {
+  // orphaned() is read first (acquire): every emit of the exited thread is
+  // then visible, so an empty, fully counted orphan can never gain events.
+  std::erase_if(rings_, [this](const std::shared_ptr<EventRing>& ring) {
+    if (!ring->orphaned() || ring->size() != 0 ||
+        ring->emitted() != ring->synced_emitted_ ||
+        ring->dropped() != ring->synced_dropped_) {
+      return false;
+    }
+    released_dropped_ += ring->dropped();
+    return true;
+  });
 }
 
 void EmitEvent(const TraceEvent& e) {

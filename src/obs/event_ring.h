@@ -77,17 +77,23 @@ static_assert(std::is_trivially_copyable_v<TraceEvent>,
 // Fixed-capacity SPSC ring of TraceEvents (same head/tail discipline as
 // mrpc::SpscRing). Producer: the owning thread's TryEmit. Consumer: one
 // drainer at a time (the registry serializes DrainAll under its mutex).
-// Observers may read size()/dropped()/emitted() from any thread.
+// Observers may read size()/dropped()/emitted()/backing_bytes() from any
+// thread.
+//
+// Slot memory is allocated by the producer's first TryEmit, not at
+// construction: a thread that registers (or is labelled) but never emits
+// costs a few hundred bytes, not capacity() * 64.
 class EventRing {
  public:
-  // Capacity rounds up to a power of two (minimum 2).
+  // Capacity rounds up to a power of two (minimum 2). Allocates no slots.
   explicit EventRing(size_t capacity);
 
-  size_t capacity() const { return slots_.size(); }
+  size_t capacity() const { return mask_ + 1; }
   // Cross-thread estimate; exact when the other side is quiescent.
   size_t size() const;
 
-  // Producer only. False when full: the event is dropped and counted.
+  // Producer only. False when full: the event is dropped and counted. The
+  // first call allocates the slot array.
   bool TryEmit(const TraceEvent& e);
 
   // Consumer only. Pop up to `max` events into out[0..); returns the count.
@@ -99,6 +105,16 @@ class EventRing {
   }
   // Events ever accepted.
   uint64_t emitted() const { return tail_.load(std::memory_order_acquire); }
+  // Slot memory allocated: 0 until the first emit, then capacity() * 64
+  // (the first emit into an empty ring is always accepted).
+  size_t backing_bytes() const {
+    return emitted() > 0 ? capacity() * sizeof(TraceEvent) : 0;
+  }
+
+  // Set (release) when the owning thread exits; the registry frees an
+  // orphaned ring once everything it emitted has been drained and counted.
+  bool orphaned() const { return orphaned_.load(std::memory_order_acquire); }
+  void MarkOrphaned() { orphaned_.store(true, std::memory_order_release); }
 
   // Display label for tools (the owning worker/thread), set once at
   // registration via EventRingRegistry::SetThisThreadLabel.
@@ -108,8 +124,11 @@ class EventRing {
   }
 
  private:
-  std::vector<TraceEvent> slots_;
+  // Null until the first TryEmit, which allocates and zero-fills it: every
+  // page is touched once, up front, so later emits never page-fault.
+  std::unique_ptr<TraceEvent[]> slots_;
   size_t mask_ = 0;
+  std::atomic<bool> orphaned_{false};
   std::atomic<NameId> label_id_{0};
   std::atomic<uint64_t> dropped_{0};
   alignas(64) std::atomic<uint64_t> head_{0};
@@ -126,6 +145,12 @@ class EventRing {
 // thread's ring); consumers call DrainAll() — which also folds ring totals
 // into the adn_obs_events_total / adn_obs_events_dropped_total counters —
 // or Stats() for per-ring depth display (tools/adntop).
+//
+// Ring lifetime: a ring is registered unbacked, backed at its thread's first
+// emit, and orphaned when its thread exits. DrainAll drains and counts an
+// orphaned ring, then releases it; an orphan that never emitted is released
+// at the next registration or drain, so starting and stopping workers does
+// not accumulate rings.
 class EventRingRegistry {
  public:
   static EventRingRegistry& Default();
@@ -134,35 +159,42 @@ class EventRingRegistry {
   EventRing& ThisThreadRing();
 
   // Label the calling thread's ring for tools (e.g. the pool worker name).
+  // Registers the ring but allocates no slots.
   void SetThisThreadLabel(std::string_view label);
 
-  // Capacity (events) for rings created after this call. Default 65536
-  // (4 MiB per worker at 64 B/event).
+  // Capacity (events) for rings created after this call. Default 65536:
+  // 4 MiB per ring at 64 B/event, allocated at the thread's first emit.
   void SetDefaultCapacity(size_t events);
 
-  // Drain every registered ring into `out`, oldest-per-ring first, and sync
-  // the event counters. One consumer at a time (serialized internally).
+  // Drain every registered ring into `out`, oldest-per-ring first, sync
+  // the event counters, and release the rings of exited threads. One
+  // consumer at a time (serialized internally).
   size_t DrainAll(std::vector<TraceEvent>& out);
 
   struct RingStats {
     std::string_view label;
     size_t depth = 0;
     size_t capacity = 0;
+    size_t backing_bytes = 0;  // 0 = never emitted (no slot memory)
     uint64_t emitted = 0;
     uint64_t dropped = 0;
   };
   std::vector<RingStats> Stats() const;
+  // Ring-full drops over the registered rings and the ones already released.
   uint64_t TotalDropped() const;
 
   // Tests/benches only: forget every ring. Producer threads re-register on
-  // their next emit; outstanding EventRing references stay valid (rings are
-  // shared_ptr-owned and parked, mirroring MetricsRegistry::Reset).
+  // their next emit; a thread's current ring stays valid until then (its
+  // thread-local shared_ptr owns it, mirroring MetricsRegistry::Reset).
   void Reset();
 
  private:
+  // Free orphaned rings with nothing left to drain or count. Caller holds mu_.
+  void ReleaseSpentLocked();
+
   mutable std::mutex mu_;
-  std::vector<std::shared_ptr<EventRing>> rings_;        // guarded by mu_
-  std::vector<std::shared_ptr<EventRing>> retired_;      // parked by Reset
+  std::vector<std::shared_ptr<EventRing>> rings_;  // guarded by mu_
+  uint64_t released_dropped_ = 0;  // drops of rings freed since Reset
   size_t default_capacity_ = 65536;
   uint64_t generation_ = 0;  // bumped by Reset so threads re-register
 };

@@ -213,6 +213,12 @@ struct FeasibilityCase {
   bool p4;
 };
 
+// Without this gtest prints the raw bytes (a pointer plus padding), which
+// differ from one process to the next and leak into the test names.
+void PrintTo(const FeasibilityCase& c, std::ostream* os) {
+  *os << c.element << " ebpf=" << c.ebpf << " p4=" << c.p4;
+}
+
 class BackendMatrix : public ::testing::TestWithParam<FeasibilityCase> {};
 
 TEST_P(BackendMatrix, MatchesExpectations) {

@@ -266,6 +266,11 @@ struct BadProgramCase {
   const char* expect_substring;
 };
 
+// gtest prints an unprintable parameter as its raw bytes, which here are
+// pointers that change with every process; print the case name so the
+// registered test names stay stable across builds.
+void PrintTo(const BadProgramCase& c, std::ostream* os) { *os << c.name; }
+
 class ParserErrors : public ::testing::TestWithParam<BadProgramCase> {};
 
 TEST_P(ParserErrors, RejectsWithUsefulMessage) {

@@ -7,7 +7,9 @@
 // every test here must stay TSan-clean.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <thread>
@@ -372,6 +374,66 @@ TEST(EventRingStress, RegistryDrainAllAccountsEveryEmitAcrossThreads) {
   registry.Reset();
 }
 
+TEST(EventRingLifecycle, ExitedThreadsDrainExactlyOnceThenRelease) {
+  // Workers emit and exit before anyone drains: their rings outlive them
+  // until one DrainAll has taken every event and counted it, then go.
+  auto& registry = obs::EventRingRegistry::Default();
+  registry.Reset();
+  obs::SetEnabled(true);
+  obs::Counter& events_total =
+      obs::MetricsRegistry::Default().GetCounter("adn_obs_events_total");
+  const uint64_t counted_before = events_total.Value();
+
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPerThread = 5'000;
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([t, &registry] {
+      registry.SetThisThreadLabel("exiting-" + std::to_string(t));
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        obs::TraceEvent e;
+        e.kind = obs::EventKind::kBurst;
+        e.arg = static_cast<uint64_t>(t) * kPerThread + i;  // unique tag
+        obs::EmitEvent(e);
+      }
+    });
+  }
+  for (std::thread& th : workers) th.join();
+
+  size_t exited_rings = 0;
+  for (const auto& rs : registry.Stats()) {
+    if (rs.label.substr(0, 8) != "exiting-") continue;
+    ++exited_rings;
+    EXPECT_EQ(rs.depth, kPerThread);
+    EXPECT_EQ(rs.backing_bytes, rs.capacity * sizeof(obs::TraceEvent));
+  }
+  EXPECT_EQ(exited_rings, static_cast<size_t>(kThreads));
+
+  std::vector<obs::TraceEvent> out;
+  ASSERT_EQ(registry.DrainAll(out), kThreads * kPerThread);
+  std::vector<int> seen(kThreads * kPerThread, 0);
+  for (const obs::TraceEvent& e : out) {
+    ASSERT_LT(e.arg, seen.size());
+    ++seen[e.arg];
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+            static_cast<std::ptrdiff_t>(seen.size()));
+  EXPECT_EQ(events_total.Value() - counted_before, kThreads * kPerThread);
+
+  // That drain released the exited threads' rings; nothing is drained or
+  // counted twice afterwards.
+  for (const auto& rs : registry.Stats()) {
+    EXPECT_NE(rs.label.substr(0, 8), "exiting-");
+  }
+  out.clear();
+  EXPECT_EQ(registry.DrainAll(out), 0u);
+  EXPECT_EQ(events_total.Value() - counted_before, kThreads * kPerThread);
+  EXPECT_EQ(registry.TotalDropped(), 0u);
+  obs::SetEnabled(false);
+  registry.Reset();
+}
+
 // --- Metrics registry under writers + snapshots + Reset ----------------------
 
 TEST(RegistryStress, ConcurrentWritersSnapshotsAndReset) {
@@ -511,6 +573,70 @@ TEST(EnginePool, SameKeyAlwaysLandsOnTheSameWorker) {
           << "log row for " << row[1].AsText() << " on wrong worker";
     }
   }
+}
+
+TEST(EnginePool, ObsOffStartStopCyclesAccumulateNoRings) {
+  // Redeploying the data plane must not pile up telemetry memory: each
+  // worker registers a labelled ring, but with obs off it never emits, so
+  // the ring is never backed and is released after the worker exits.
+  obs::SetEnabled(false);
+  auto& registry = obs::EventRingRegistry::Default();
+  registry.Reset();
+  constexpr int kWorkers = 2;
+  const auto elements = LogAclElements();
+  size_t max_rings = 0;
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    EnginePool::Config config;
+    config.workers = kWorkers;
+    config.shard_key_field = "username";
+    EnginePool pool(elements, {}, config);
+    SeedUsers(pool, 8);
+    ASSERT_TRUE(pool.Start().ok());
+    for (int i = 0; i < 16; ++i) {
+      pool.Submit(MakeReq(static_cast<uint64_t>(i + 1), UserName(i % 8)));
+    }
+    pool.Stop();
+    const auto stats = registry.Stats();
+    max_rings = std::max(max_rings, stats.size());
+    for (const auto& rs : stats) EXPECT_EQ(rs.backing_bytes, 0u) << rs.label;
+  }
+  // Bounded by one cycle's workers (swept at the next registration), not
+  // by the 50 cycles.
+  EXPECT_LE(max_rings, static_cast<size_t>(kWorkers));
+  registry.Reset();
+}
+
+TEST(EnginePool, PingPongSubmitNeverLosesAWakeUp) {
+  // One producer, one worker, each Submit waiting for its on_done: every
+  // push races a worker that is spinning down to park. The gap before each
+  // push sweeps 0-20 us so pushes land at every point of that spin-down.
+  // A lost wake-up (push and park each missing the other's store) shows as
+  // a park that times out with the message queued.
+  constexpr uint64_t kRounds = 20'000;
+  EnginePool::Config config;
+  config.workers = 1;
+  config.shard_key_field = "username";
+  std::atomic<uint64_t> done{0};
+  config.on_done = [&done](int, const rpc::Message&,
+                           const ir::ProcessResult&) {
+    done.fetch_add(1, std::memory_order_release);
+  };
+  EnginePool pool(LogAclElements(), {}, config);
+  SeedUsers(pool, 8);
+  ASSERT_TRUE(pool.Start().ok());
+  for (uint64_t i = 0; i < kRounds; ++i) {
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::nanoseconds((i % 200) * 100);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    pool.Submit(MakeReq(i + 1, UserName(static_cast<int>(i % 8))));
+    while (done.load(std::memory_order_acquire) <= i) {
+      std::this_thread::yield();
+    }
+  }
+  pool.Stop();
+  EXPECT_EQ(pool.processed(), kRounds);
+  EXPECT_EQ(pool.lost_wakeups(0), 0u);
 }
 
 TEST(EnginePool, ShardTotalsMergeToTheUnshardedResult) {

@@ -71,12 +71,17 @@ void PrintObsHealth(double obs_overhead_frac) {
       static_cast<unsigned long long>(
           reg.GetCounter("adn_obs_spans_evicted_total").Value()),
       obs_overhead_frac * 100.0);
+  // backing = slot memory the ring holds; "unbacked" = never emitted.
   for (const auto& rs : adn::obs::EventRingRegistry::Default().Stats()) {
-    std::printf("  ring %-16s depth %zu/%zu  emitted %llu  dropped %llu\n",
-                std::string(rs.label.empty() ? "(main)" : rs.label).c_str(),
-                rs.depth, rs.capacity,
-                static_cast<unsigned long long>(rs.emitted),
-                static_cast<unsigned long long>(rs.dropped));
+    char backing[32] = "unbacked";
+    if (rs.backing_bytes > 0) {
+      std::snprintf(backing, sizeof backing, "%zu KiB", rs.backing_bytes >> 10);
+    }
+    std::printf(
+        "  ring %-16s depth %zu/%zu  backing %-9s emitted %llu  dropped %llu\n",
+        std::string(rs.label.empty() ? "(main)" : rs.label).c_str(), rs.depth,
+        rs.capacity, backing, static_cast<unsigned long long>(rs.emitted),
+        static_cast<unsigned long long>(rs.dropped));
   }
 }
 
@@ -230,11 +235,11 @@ int main(int argc, char** argv) {
       // Obs self-health for this tick: deepest event ring (backlog before
       // the next drain) and cumulative producer-side drops.
       size_t ring_max = 0;
-      uint64_t ev_dropped = 0;
       for (const auto& rs : obs::EventRingRegistry::Default().Stats()) {
         ring_max = std::max(ring_max, rs.depth);
-        ev_dropped += rs.dropped;
       }
+      const uint64_t ev_dropped =
+          obs::EventRingRegistry::Default().TotalDropped();
       std::printf("%-6llu %10.0f %10.0f %10.0f %8zu %8llu%s\n",
                   static_cast<unsigned long long>(tick),
                   series.CounterRatePerSec("adn_chain_rpcs_total",
