@@ -1,10 +1,14 @@
 #include "mrpc/engine_pool.h"
 
+#include <linux/futex.h>
+#include <sys/syscall.h>
 #include <time.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <optional>
 
 #include "compiler/chain_compile.h"
 #include "obs/trace.h"
@@ -21,6 +25,26 @@ int64_t ThreadCpuNs() {
   timespec ts;
   if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
   return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
+// Park/unpark on a worker's 32-bit `sleeping` word. A raw futex, not
+// std::atomic::wait: libstdc++'s wait spins and yields before it blocks,
+// which costs an idle worker more CPU than the wait itself.
+static_assert(sizeof(std::atomic<uint32_t>) == sizeof(uint32_t) &&
+              std::atomic<uint32_t>::is_always_lock_free);
+
+// Blocks while `word` holds `expected`, with no timeout. Returns on a wake,
+// at once if the word already differs, or spuriously (EINTR): callers
+// re-check their own condition.
+void FutexWait(std::atomic<uint32_t>& word, uint32_t expected) {
+  syscall(SYS_futex, reinterpret_cast<uint32_t*>(&word), FUTEX_WAIT_PRIVATE,
+          expected, nullptr, nullptr, 0);
+}
+
+// Wakes the (at most one) thread blocked on `word`.
+void FutexWakeOne(std::atomic<uint32_t>& word) {
+  syscall(SYS_futex, reinterpret_cast<uint32_t*>(&word), FUTEX_WAKE_PRIVATE,
+          1, nullptr, nullptr, 0);
 }
 
 // Interned once per process: the root span name the per-message path opens.
@@ -355,16 +379,39 @@ int EnginePool::Submit(rpc::Message message) {
 }
 
 void EnginePool::Wake(Worker& w) {
-  std::lock_guard<std::mutex> lock(w.mu);
-  ++w.wakes;
-  w.cv.notify_one();
+  // Whoever clears the word owns the wake; a worker not yet blocked sees 0
+  // and its FUTEX_WAIT returns at once.
+  if (w.sleeping.exchange(Worker::kAwake, std::memory_order_seq_cst) !=
+      Worker::kAwake) {
+    FutexWakeOne(w.sleeping);
+  }
 }
 
 void EnginePool::Drain() {
   if (!started_) return;
+  // Lost wake-up watchdog. While the producer drains it pushes nothing, and
+  // a worker reaches kParked only after its re-check found the ring empty:
+  // a worker seen kParked with messages queued for longer than
+  // kLostWakeGrace was never woken for them. Count it and wake it.
+  constexpr auto kLostWakeGrace = std::chrono::milliseconds(10);
   for (auto& worker : workers_) {
-    while (worker->done.load(std::memory_order_acquire) <
-           worker->submitted.load(std::memory_order_relaxed)) {
+    Worker& w = *worker;
+    std::optional<std::chrono::steady_clock::time_point> stuck_since;
+    while (w.done.load(std::memory_order_acquire) <
+           w.submitted.load(std::memory_order_relaxed)) {
+      if (w.sleeping.load(std::memory_order_acquire) == Worker::kParked &&
+          w.ring.size() != 0) {
+        const auto now = std::chrono::steady_clock::now();
+        if (!stuck_since) {
+          stuck_since = now;
+        } else if (now - *stuck_since > kLostWakeGrace) {
+          w.lost_wakeups.fetch_add(1, std::memory_order_relaxed);
+          Wake(w);
+          stuck_since.reset();
+        }
+      } else {
+        stuck_since.reset();
+      }
       std::this_thread::yield();
     }
   }
@@ -455,27 +502,22 @@ void EnginePool::WorkerLoop(int index) {
     }
     // Park so idle workers burn no CPU (keeps worker_cpu_ns ≈ busy time).
     // The seq_cst store + fence pair with the fence after Submit's push and
-    // with PostControl's seq_cst ctrl_pending store; the timed wait is a
-    // belt-and-braces fallback.
-    std::unique_lock<std::mutex> lock(w.mu);
-    w.sleeping.store(true, std::memory_order_seq_cst);
+    // with PostControl's and Stop's seq_cst stores: either the waker sees a
+    // non-zero word and wakes this thread, or the re-check below sees its
+    // message, control op or stop. A wake that lands after the re-check
+    // fails the CAS (the word is kAwake) or makes FUTEX_WAIT return at once.
+    // The wait has no timeout (a timed futex arms a kernel timer on every
+    // park); Drain() is the watchdog.
+    w.sleeping.store(Worker::kParking, std::memory_order_seq_cst);
     std::atomic_thread_fence(std::memory_order_seq_cst);
+    uint32_t parking = Worker::kParking;
     if (w.ring.empty() && !stop_.load(std::memory_order_acquire) &&
-        !w.ctrl_pending.load(std::memory_order_seq_cst)) {
-      const uint64_t wakes = w.wakes;
-      const bool timed_out =
-          w.cv.wait_for(lock, std::chrono::milliseconds(1)) ==
-          std::cv_status::timeout;
-      // Timed out with work queued: either a producer that saw this park
-      // is blocked on mu to wake it (late, harmless) or none saw it (lost).
-      // A short grace for that notify tells the two apart.
-      if (timed_out && !w.ring.empty() &&
-          !w.cv.wait_for(lock, std::chrono::milliseconds(10),
-                         [&] { return w.wakes != wakes; })) {
-        w.lost_wakeups.fetch_add(1, std::memory_order_relaxed);
-      }
+        !w.ctrl_pending.load(std::memory_order_seq_cst) &&
+        w.sleeping.compare_exchange_strong(parking, Worker::kParked,
+                                           std::memory_order_seq_cst)) {
+      FutexWait(w.sleeping, Worker::kParked);
     }
-    w.sleeping.store(false, std::memory_order_relaxed);
+    w.sleeping.store(Worker::kAwake, std::memory_order_relaxed);
     spins = 0;
   }
   // Drain any control ops posted after the last mailbox check; the ring is

@@ -142,9 +142,9 @@ class EnginePool {
     std::string processor = "engine-pool";
     // Worker clock exposed to now(); null = constant 0 (deterministic).
     std::function<int64_t()> clock;
-    // Measure chain-execution time per message (steady_clock around the
-    // executor, excluding ring transport and dequeue): worker_exec_ns().
-    // Costs ~2 clock reads per message; off by default.
+    // Measure chain-execution time (CLOCK_THREAD_CPUTIME_ID around each
+    // burst's executor call, excluding ring transport and dequeue):
+    // worker_exec_ns(). Costs 2 clock reads per burst; off by default.
     bool measure_exec = false;
     // Messages drained and processed per burst (1 = per-message drain).
     // Each burst pays the ring's acquire/release pair once and, when the
@@ -183,8 +183,9 @@ class EnginePool {
   bool started() const { return started_; }
 
   // --- Data plane (single producer) -----------------------------------------
-  // Routes and enqueues; spins (with backoff) while the target worker's ring
-  // is full. Call from ONE thread. Returns the worker index it routed to.
+  // Routes and enqueues; yields while the target worker's ring is full, and
+  // wakes the worker if it is parked. Call from ONE thread. Returns the
+  // worker index it routed to.
   int Submit(rpc::Message message);
   // Deterministic routing preview (usable before Start and from tests).
   int WorkerOfKey(const rpc::Value& key) const;
@@ -219,7 +220,8 @@ class EnginePool {
   // running: ChainProgram::version, bumped by every compile.
   uint64_t program_version() const;
 
-  // Blocks until every submitted message has been fully processed.
+  // Blocks until every submitted message has been fully processed. Also the
+  // lost wake-up watchdog: see lost_wakeups().
   void Drain();
   // Drain, then join every worker (and helper) thread. Idempotent; the
   // destructor calls it.
@@ -232,7 +234,7 @@ class EnginePool {
   uint64_t dropped() const;
   uint64_t processed_by(int worker) const;
   // CPU nanoseconds worker `w` has consumed (CLOCK_THREAD_CPUTIME_ID),
-  // final after Stop(). Idle workers park on a condvar, so this approximates
+  // final after Stop(). Idle workers park on a futex, so this approximates
   // busy time — the per-core cost the pool pays per message.
   int64_t worker_cpu_ns(int worker) const;
   // Nanoseconds worker `w` spent inside the chain executor, by thread-CPU
@@ -240,10 +242,12 @@ class EnginePool {
   // messages once Drain() returns). The pool-side analogue of
   // bench_breakdown's compiled_ns_per_msg — excludes ring transport.
   int64_t worker_exec_ns(int worker) const;
-  // Parks of worker `w` that timed out with a message already queued and no
-  // wake-up ever sent for it: lost wake-ups, which Submit's StoreLoad fence
-  // rules out. Each held its message for the 1 ms park timeout plus a
-  // 10 ms grace.
+  // Times Drain() found worker `w` blocked in its park with messages queued
+  // for more than 10 ms, and woke it: lost wake-ups, which Submit's
+  // StoreLoad fence rules out. Trade-off: a park has no timeout, so if that
+  // fence protocol were broken, a missed wake would hold its message until
+  // the next Submit to that worker or the next Drain() (Stop() drains
+  // first), where a timed park would have held it for at most the timeout.
   uint64_t lost_wakeups(int worker) const;
 
   // Worker w's live instance of element e (tests; the worker thread owns it
@@ -303,10 +307,15 @@ class EnginePool {
     std::atomic<uint64_t> dropped{0};
     std::atomic<int64_t> cpu_ns{0};
     std::atomic<int64_t> exec_ns{0};
-    std::atomic<bool> sleeping{false};
-    std::mutex mu;
-    std::condition_variable cv;
-    uint64_t wakes = 0;  // notifies sent to this worker, guarded by mu
+    // Futex park word. The worker stores kParking before its re-check, then
+    // CASes kParking -> kParked and FUTEX_WAITs on kParked; it stores kAwake
+    // after. A waker (Submit, PostControl, Stop, the Drain watchdog) that
+    // swaps a non-zero word to kAwake owns the FUTEX_WAKE. No lock on
+    // either side. kParked means the re-check found nothing to do, so the
+    // Drain watchdog never mistakes a worker preempted mid-park for a lost
+    // wake-up.
+    static constexpr uint32_t kAwake = 0, kParking = 1, kParked = 2;
+    std::atomic<uint32_t> sleeping{kAwake};
     std::atomic<uint64_t> lost_wakeups{0};
 
     // Control mailbox (reconfiguration only; never on the message path).
@@ -348,7 +357,7 @@ class EnginePool {
   };
 
   void WorkerLoop(int index);
-  // Notify a (possibly) parked worker and count the wake-up.
+  // Wake worker `w` if it is parked (or about to park).
   static void Wake(Worker& w);
   // Post `fn` to run on worker `worker`'s thread once it has drained every
   // message submitted before this call. Wakes the worker if parked.

@@ -30,8 +30,9 @@ The baseline mode also gates BENCH_obs.json (written by bench_obs) against
 bench/baselines/obs_baseline.json — there ``compiled_ns_per_msg`` is the
 *obs-on* default-burst 1-worker executor cost (metrics + sampled tracing
 enabled), and ``burst_speedup`` is obs-on scalar over obs-on burst. Pass
-``--max-obs-overhead`` to additionally require ``obs_overhead_frac`` (obs-on
-burst over obs-off burst, minus one, same host same run) to stay at or
+``--max-obs-overhead`` to additionally require ``obs_overhead_frac`` (median
+over interleaved rep pairs in one pool of obs-on burst over obs-off burst,
+minus one, same host same run) to stay at or
 below the bound — the always-on telemetry contract of
 docs/OBSERVABILITY.md "Burst-mode telemetry". Run the same file through
 ``--max-allocs 0`` to pin the zero-allocation invariant with telemetry on.
